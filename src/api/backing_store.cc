@@ -22,10 +22,20 @@ class FlatStore : public BackingStore
     u64 capacity() const override { return data_.size(); }
 
   protected:
+    /**
+     * True if [addr, addr + len) lies inside the store. Written so that
+     * no sum can wrap: `addr + len` overflows for addr near 2^64.
+     */
+    bool
+    inRange(Addr addr, std::size_t len) const
+    {
+        return len <= data_.size() && addr <= data_.size() - len;
+    }
+
     void
     doWrite(Addr addr, const u8 *src, std::size_t len) override
     {
-        BUDDY_CHECK(addr + len <= data_.size(),
+        BUDDY_CHECK(inRange(addr, len),
                     "backing-store write out of range");
         std::memcpy(data_.data() + addr, src, len);
     }
@@ -33,7 +43,7 @@ class FlatStore : public BackingStore
     void
     doRead(Addr addr, u8 *dst, std::size_t len) const override
     {
-        BUDDY_CHECK(addr + len <= data_.size(),
+        BUDDY_CHECK(inRange(addr, len),
                     "backing-store read out of range");
         std::memcpy(dst, data_.data() + addr, len);
     }
@@ -41,7 +51,7 @@ class FlatStore : public BackingStore
     void
     doFill(Addr addr, u8 value, std::size_t len) override
     {
-        BUDDY_CHECK(addr + len <= data_.size(),
+        BUDDY_CHECK(inRange(addr, len),
                     "backing-store fill out of range");
         std::memset(data_.data() + addr, value, len);
     }

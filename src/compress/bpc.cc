@@ -1,7 +1,5 @@
 #include "compress/bpc.h"
 
-#include <array>
-
 #include "common/bitstream.h"
 #include "common/check.h"
 
@@ -9,8 +7,8 @@ namespace buddy {
 
 namespace {
 
-constexpr u64 kPlaneMask = (1ull << BpcCompressor::kPlaneBits) - 1;
-constexpr u64 kDeltaMask = (1ull << BpcCompressor::kPlanes) - 1;
+constexpr u32 kPlaneMask = (1u << BpcCompressor::kPlaneBits) - 1;
+constexpr int kTopPlane = BpcCompressor::kPlanes - 1;
 constexpr std::size_t kRawBits = kEntryBytes * 8;
 
 /**
@@ -26,37 +24,35 @@ constexpr std::size_t kRawBits = kEntryBytes * 8;
  *   "00011" + 5-bit pos      single one at pos                   (10 bits)
  *   "1"     + 31 raw bits    uncompressed plane                  (32 bits)
  *
- * Codes are written LSB-first into the BitWriter; the reader peels them
- * bit by bit in the same order.
+ * Codes are strings of bits in stream order. The stream is LSB-first, so
+ * each symbol is one FixedBitWriter::put() of the value below: the first
+ * code bit is bit 0, and a payload follows the prefix bits.
  */
-enum class PlaneSym : u8 {
-    ZeroSingle,
-    ZeroRun,
-    AllOnes,
-    DbpZero,
-    TwoOnes,
-    OneOne,
-    Raw,
-};
+constexpr u64 kSymZeroSingle = 0b10;  // "01"
+constexpr u64 kSymZeroRun = 0b100;    // "001"
+constexpr u64 kSymAllOnes = 0b00000;  // "00000"
+constexpr u64 kSymDbpZero = 0b10000;  // "00001"
+constexpr u64 kSymTwoOnes = 0b01000;  // "00010"
+constexpr u64 kSymOneOne = 0b11000;   // "00011"
+constexpr u64 kSymRaw = 0b1;          // "1"
 
 void
 emitZeroPlanes(FixedBitWriter &bw, unsigned run)
 {
     while (run > 0) {
         if (run == 1) {
-            bw.putBit(0); bw.putBit(1); // "01"
+            bw.put(kSymZeroSingle, 2);
             run = 0;
         } else {
             const unsigned chunk = run > 33 ? 33 : run;
-            bw.putBit(0); bw.putBit(0); bw.putBit(1); // "001"
-            bw.put(chunk - 2, 5);
+            bw.put(kSymZeroRun | (u64{chunk - 2} << 3), 8);
             run -= chunk;
         }
     }
 }
 
 /**
- * Base-word code:
+ * Base-word code, written after the format tag bit:
  *   "00"            zero base                         (2 bits)
  *   "01" + 4 bits   4-bit sign-extended base          (6 bits)
  *   "10" + 16 bits  16-bit sign-extended base        (18 bits)
@@ -67,59 +63,67 @@ encodeBase(FixedBitWriter &bw, u32 base)
 {
     const i32 sbase = static_cast<i32>(base);
     if (base == 0) {
-        bw.putBit(0); bw.putBit(0);
+        bw.put(0b00, 2);
     } else if (sbase >= -8 && sbase < 8) {
-        bw.putBit(0); bw.putBit(1);
-        bw.put(static_cast<u32>(sbase) & 0xF, 4);
+        bw.put(0b10 | (u64{base & 0xFu} << 2), 6);
     } else if (sbase >= -32768 && sbase < 32768) {
-        bw.putBit(1); bw.putBit(0);
-        bw.put(static_cast<u32>(sbase) & 0xFFFF, 16);
+        bw.put(0b01 | (u64{base & 0xFFFFu} << 2), 18);
     } else {
-        bw.putBit(1); bw.putBit(1);
-        bw.put(base, 32);
+        bw.put(0b11 | (u64{base} << 2), 34);
     }
 }
 
 u32
 decodeBase(BitReader &br)
 {
-    const bool b0 = br.getBit();
-    const bool b1 = br.getBit();
-    if (!b0 && !b1)
+    switch (br.get(2)) {
+      case 0b00:
         return 0;
-    if (!b0 && b1) { // 4-bit sign-extended
+      case 0b10: { // "01": 4-bit sign-extended
         const u32 v = static_cast<u32>(br.get(4));
         return static_cast<u32>(static_cast<i32>(v << 28) >> 28);
-    }
-    if (b0 && !b1) { // 16-bit sign-extended
+      }
+      case 0b01: { // "10": 16-bit sign-extended
         const u32 v = static_cast<u32>(br.get(16));
         return static_cast<u32>(static_cast<i32>(v << 16) >> 16);
+      }
+      default: // "11": raw
+        return static_cast<u32>(br.get(32));
     }
-    return static_cast<u32>(br.get(32));
 }
 
-bool
-isSingleOne(u64 plane, unsigned &pos)
+/**
+ * One round of the 32x32 bit-matrix transpose below: for every row pair
+ * (i, i + J) with bit J of i clear, swap the high J-bit halves of row i's
+ * 2J-bit groups with the low halves of row i + J's.
+ */
+template <unsigned J, u32 Mask>
+inline void
+transposeRound(u32 *m)
 {
-    if (plane == 0 || (plane & (plane - 1)) != 0)
-        return false;
-    pos = 0;
-    while (!((plane >> pos) & 1ull))
-        ++pos;
-    return true;
+    for (unsigned k = 0; k < 32; k += 2 * J) {
+        for (unsigned i = k; i < k + J; ++i) {
+            const u32 t = ((m[i] >> J) ^ m[i + J]) & Mask;
+            m[i] ^= t << J;
+            m[i + J] ^= t;
+        }
+    }
 }
 
-bool
-isTwoConsecutiveOnes(u64 plane, unsigned &pos)
+/**
+ * In-place transpose of a 32x32 bit matrix: afterwards bit i of m[b] is
+ * what bit b of m[i] was. Five rounds of masked swaps exchange ever
+ * smaller off-diagonal blocks (16x16, 8x8, ..., 1x1). The transpose is
+ * its own inverse.
+ */
+void
+transpose32(u32 *m)
 {
-    // plane == (0b11 << pos)
-    if (plane == 0)
-        return false;
-    pos = 0;
-    while (!((plane >> pos) & 1ull))
-        ++pos;
-    return plane == (0b11ull << pos) &&
-           pos + 1 < BpcCompressor::kPlaneBits;
+    transposeRound<16, 0x0000FFFFu>(m);
+    transposeRound<8, 0x00FF00FFu>(m);
+    transposeRound<4, 0x0F0F0F0Fu>(m);
+    transposeRound<2, 0x33333333u>(m);
+    transposeRound<1, 0x55555555u>(m);
 }
 
 } // namespace
@@ -131,62 +135,58 @@ BpcCompressor::compressInto(const u8 *data, u8 *out,
     u32 words[kWordsPerEntry];
     loadWords(data, words);
 
-    // Delta transform plus lazy bit-plane views. xd[i] holds the
-    // adjacent-plane XOR (DBX) bits contributed by delta i — bit b of
-    // xd[i] is d[b] ^ d[b+1] (and d[32] for the top plane) — so DBX
-    // plane b is the bit-b column across xd. The OR-reductions give
-    // constant-time nonzero-plane (or_x) and DBP-zero (or_d) tests:
-    // only planes that actually encode a symbol pay the 31-bit column
-    // gather, which is what makes zero and smooth entries cheap.
-    u64 xd[kPlaneBits];
-    u64 or_d = 0, or_x = 0;
+    // Delta transform. Delta i is 33 bits: the low 32 are the wrapping
+    // difference and bit 32 (the sign) is the borrow of the subtract.
+    // Row i of the DBX matrix holds delta i's adjacent-bit XOR, bit b =
+    // d[b] ^ d[b+1], so column b of the rows is DBX plane b; row 31 is
+    // zero (31 deltas). The top plane DBX[32] = DBP[32] is gathered
+    // straight from the borrows.
+    u32 dbx[kWordsPerEntry];
+    u32 dbp_or = 0; // bit b set iff DBP plane b (b < 32) is nonzero
+    u32 top = 0;    // DBX/DBP plane 32
     for (unsigned i = 0; i < kPlaneBits; ++i) {
-        const i64 d = static_cast<i64>(words[i + 1]) -
-                      static_cast<i64>(words[i]);
-        const u64 du = static_cast<u64>(d) & kDeltaMask;
-        or_d |= du;
-        xd[i] = du ^ (du >> 1);
-        or_x |= xd[i];
+        const u32 d = words[i + 1] - words[i];
+        const u32 borrow = words[i + 1] < words[i] ? 1u : 0u;
+        dbx[i] = d ^ (d >> 1) ^ (borrow << 31);
+        dbp_or |= d;
+        top |= borrow << i;
     }
+    dbx[kPlaneBits] = 0;
+    transpose32(dbx); // dbx[b] is now DBX plane b, b < 32
 
     FixedBitWriter bw(out, kMaxEncodedBytes);
-    bw.putBit(0); // format tag: 0 = BPC, 1 = raw fallback
+    bw.put(0, 1); // format tag: 0 = BPC, 1 = raw fallback
     encodeBase(bw, words[0]);
 
     // Emit planes MSB-first so that the sign-extension planes of smooth
     // data coalesce into long zero runs.
     unsigned zero_run = 0;
-    for (int b = kPlanes - 1; b >= 0; --b) {
-        if (((or_x >> b) & 1ull) == 0) {
+    for (int b = kTopPlane; b >= 0; --b) {
+        const u32 x = b == kTopPlane ? top : dbx[b];
+        if (x == 0) {
             ++zero_run;
             continue;
         }
         emitZeroPlanes(bw, zero_run);
         zero_run = 0;
 
-        u64 x = 0;
-        for (unsigned i = 0; i < kPlaneBits; ++i)
-            x |= ((xd[i] >> b) & 1ull) << i;
-
-        unsigned pos = 0;
+        // DBP[32] = DBX[32] is nonzero here, so the DBP-zero shortcut
+        // can only apply below the top plane.
+        const bool dbp_zero = b < kTopPlane && ((dbp_or >> b) & 1u) == 0;
+        const unsigned pos = static_cast<unsigned>(__builtin_ctz(x));
         if (x == kPlaneMask) {
-            bw.put(0b00000, 5);
-        } else if (((or_d >> b) & 1ull) == 0) {
+            bw.put(kSymAllOnes, 5);
+        } else if (dbp_zero) {
             // DBX nonzero but the underlying DBP plane is zero: tell the
             // decoder directly (5-bit shortcut instead of a raw plane).
-            bw.putBit(0); bw.putBit(0); bw.putBit(0); bw.putBit(0);
-            bw.putBit(1);
-        } else if (isTwoConsecutiveOnes(x, pos)) {
-            bw.putBit(0); bw.putBit(0); bw.putBit(0); bw.putBit(1);
-            bw.putBit(0);
-            bw.put(pos, 5);
-        } else if (isSingleOne(x, pos)) {
-            bw.putBit(0); bw.putBit(0); bw.putBit(0); bw.putBit(1);
-            bw.putBit(1);
-            bw.put(pos, 5);
+            bw.put(kSymDbpZero, 5);
+        } else if (x == (3u << pos)) {
+            // Planes have 31 bits, so pos + 1 < kPlaneBits holds here.
+            bw.put(kSymTwoOnes | (u64{pos} << 5), 10);
+        } else if (x == (1u << pos)) {
+            bw.put(kSymOneOne | (u64{pos} << 5), 10);
         } else {
-            bw.putBit(1);
-            bw.put(x, kPlaneBits);
+            bw.put(kSymRaw | (u64{x} << 1), 32);
         }
     }
     emitZeroPlanes(bw, zero_run);
@@ -194,10 +194,12 @@ BpcCompressor::compressInto(const u8 *data, u8 *out,
     if (bw.sizeBits() >= kRawBits + 1) {
         // Transform expanded the data: fall back to a tagged raw copy,
         // overwriting the transformed stream from the start of `out`.
+        // Little-endian words put LSB-first are the entry's bytes in
+        // order, so this is the tag bit followed by the entry verbatim.
         bw.reset();
-        bw.putBit(1);
-        for (std::size_t i = 0; i < kEntryBytes; ++i)
-            bw.put(data[i], 8);
+        bw.put(1, 1);
+        for (unsigned i = 0; i < kWordsPerEntry; ++i)
+            bw.put(words[i], 32);
     }
     return bw.sizeBits();
 }
@@ -207,80 +209,70 @@ BpcCompressor::decompressFrom(const u8 *payload, std::size_t size_bits,
                               u8 *out) const
 {
     BitReader br(payload, size_bits);
+    u32 words[kWordsPerEntry];
 
-    if (br.getBit()) { // raw fallback
-        for (std::size_t i = 0; i < kEntryBytes; ++i)
-            out[i] = static_cast<u8>(br.get(8));
+    if (br.get(1)) { // raw fallback
+        for (unsigned i = 0; i < kWordsPerEntry; ++i)
+            words[i] = static_cast<u32>(br.get(32));
+        storeWords(words, out);
         return;
     }
 
     const u32 base = decodeBase(br);
 
     // Reconstruct per-plane DBX values (or direct DBP-zero markers),
-    // MSB-first to match the encoder.
-    std::array<u64, kPlanes> dbx{};
-    std::array<bool, kPlanes> dbp_zero{};
-    int b = kPlanes - 1;
+    // MSB-first to match the encoder. Every symbol fits in one 32-bit
+    // peek: branch on its prefix bits, then skip the whole symbol.
+    u32 dbx[kPlanes] = {};
+    u64 dbp_zero = 0; // bit b set: DBP plane b is zero (shortcut code)
+    int b = kTopPlane;
     while (b >= 0) {
-        if (br.getBit()) { // "1": raw plane
-            dbx[b] = br.get(kPlaneBits);
+        const u64 v = br.peek(32);
+        if (v & 1u) { // "1": raw plane
+            br.skip(32);
+            dbx[b--] = static_cast<u32>(v >> 1) & kPlaneMask;
+        } else if ((v & 0b11) == kSymZeroSingle) { // "01"; dbx[] is zeroed
+            br.skip(2);
             --b;
-            continue;
-        }
-        if (br.getBit()) { // "01": single zero plane
-            dbx[b] = 0;
-            --b;
-            continue;
-        }
-        if (br.getBit()) { // "001": zero run
-            const unsigned run = static_cast<unsigned>(br.get(5)) + 2;
-            for (unsigned i = 0; i < run; ++i) {
-                BUDDY_CHECK(b >= 0, "BPC zero run overruns planes");
-                dbx[b--] = 0;
+        } else if ((v & 0b111) == kSymZeroRun) { // "001"
+            br.skip(8);
+            const int run = static_cast<int>((v >> 3) & 31) + 2;
+            BUDDY_CHECK(run <= b + 1, "BPC zero run overruns planes");
+            b -= run;
+        } else { // "000xx" family
+            const u64 sym = v & 0b11111;
+            const unsigned pos = static_cast<unsigned>(v >> 5) & 31;
+            if (sym == kSymAllOnes) {
+                br.skip(5);
+                dbx[b] = kPlaneMask;
+            } else if (sym == kSymDbpZero) {
+                br.skip(5);
+                dbp_zero |= 1ull << b;
+            } else if (sym == kSymTwoOnes) {
+                br.skip(10);
+                dbx[b] = 3u << pos;
+            } else { // kSymOneOne
+                br.skip(10);
+                dbx[b] = 1u << pos;
             }
-            continue;
+            --b;
         }
-        // "000xx" family.
-        const bool b3 = br.getBit();
-        const bool b4 = br.getBit();
-        if (!b3 && !b4) { // "00000": all ones
-            dbx[b] = kPlaneMask;
-        } else if (!b3 && b4) { // "00001": DBP == 0 shortcut
-            dbp_zero[b] = true;
-        } else if (b3 && !b4) { // "00010": two consecutive ones
-            const unsigned pos = static_cast<unsigned>(br.get(5));
-            dbx[b] = 0b11ull << pos;
-        } else { // "00011": single one
-            const unsigned pos = static_cast<unsigned>(br.get(5));
-            dbx[b] = 1ull << pos;
-        }
-        --b;
     }
 
-    // Invert the XOR transform top-down.
-    std::array<u64, kPlanes> dbp{};
-    dbp[kPlanes - 1] = dbx[kPlanes - 1];
-    for (int p = kPlanes - 2; p >= 0; --p)
-        dbp[p] = dbp_zero[p] ? 0 : (dbx[p] ^ dbp[p + 1]);
-
-    // Invert the bit-plane transform back into 33-bit deltas.
-    u64 deltas[kPlaneBits];
-    for (unsigned i = 0; i < kPlaneBits; ++i) {
-        u64 d = 0;
-        for (unsigned p = 0; p < kPlanes; ++p)
-            d |= ((dbp[p] >> i) & 1ull) << p;
-        deltas[i] = d;
+    // Invert the XOR transform top-down: DBP[b] = DBX[b] ^ DBP[b+1].
+    u32 dbp = dbx[kTopPlane];
+    for (int p = kTopPlane - 1; p >= 0; --p) {
+        dbp = ((dbp_zero >> p) & 1u) ? 0 : (dbx[p] ^ dbp);
+        dbx[p] = dbp;
     }
 
-    // Invert the delta transform.
-    u32 words[kWordsPerEntry];
+    // Invert the bit-plane transform: row i is the low 32 bits of delta
+    // i. Bit 32 (the sign) cannot change a sum mod 2^32, so plain u32
+    // adds invert the delta transform.
+    transpose32(dbx);
     words[0] = base;
-    for (unsigned i = 0; i < kPlaneBits; ++i) {
-        // Sign-extend the 33-bit delta.
-        i64 d = static_cast<i64>(deltas[i] << (64 - kPlanes)) >>
-                (64 - kPlanes);
-        words[i + 1] = static_cast<u32>(static_cast<i64>(words[i]) + d);
-    }
+    for (unsigned i = 0; i < kPlaneBits; ++i)
+        words[i + 1] = words[i] + dbx[i];
     storeWords(words, out);
 }
 

@@ -22,7 +22,18 @@
  * The encoder falls back to a tagged raw copy whenever the transformed
  * encoding would exceed the original 1024 bits, so the compressed size is
  * bounded by 1025 bits. Encode/decode is bit-exact and covered by
- * property tests.
+ * property tests; golden digests in tests/test_codec_fuzz.cc pin the
+ * encoding itself.
+ *
+ * Both directions work on whole words. The encoder builds the 31 DBX rows
+ * (delta i's adjacent-bit XOR) in one pass and turns them into planes
+ * 0..31 with a single in-place 32x32 bit-matrix transpose; plane 32 (the
+ * delta signs) is gathered as one word. Symbol positions come from a
+ * count-trailing-zeros, and each symbol (prefix plus payload) is one
+ * FixedBitWriter::put(). The decoder peeks 32 bits per symbol, branches
+ * on the prefix and skips the symbol once, undoes the XOR top-down,
+ * transposes back and rebuilds the words with plain u32 adds (the 33rd
+ * delta bit cannot change a sum mod 2^32).
  */
 
 #pragma once

@@ -227,8 +227,8 @@ ShardedEngine::attachMetrics(obs::MetricRegistry &registry)
         shards_[s]->attachMetrics(registry, strfmt("shard/s%u/", s));
 }
 
-std::future<BatchSummary>
-ShardedEngine::submit(AccessBatch &batch)
+std::shared_ptr<ShardedEngine::BatchJob>
+ShardedEngine::split(AccessBatch &batch)
 {
     auto job = std::make_shared<BatchJob>();
     job->batch = &batch;
@@ -262,19 +262,28 @@ ShardedEngine::submit(AccessBatch &batch)
         job->opAlloc[i] = a.id;
     }
 
-    auto fut = job->done.get_future();
     if (job->subs.empty()) {
-        // Empty plan: nothing to enqueue.
+        // Empty plan: nothing to run.
         if (!hub_.empty()) {
             std::lock_guard<std::mutex> lk(emitMutex_);
             hub_.emitBatch(batch.summary_);
         }
         job->done.set_value(batch.summary_);
-        return fut;
+        return job;
     }
-
     job->remaining.store(static_cast<unsigned>(job->subs.size()),
                          std::memory_order_relaxed);
+    inflight_.fetch_add(1, std::memory_order_relaxed);
+    return job;
+}
+
+std::future<BatchSummary>
+ShardedEngine::submit(AccessBatch &batch)
+{
+    const std::shared_ptr<BatchJob> job = split(batch);
+    auto fut = job->done.get_future();
+    if (job->subs.empty())
+        return fut;
     std::size_t peakDepth = 0;
     for (unsigned sub = 0; sub < job->subs.size(); ++sub) {
         const unsigned s = job->subs[sub].shard;
@@ -301,6 +310,20 @@ const BatchSummary &
 ShardedEngine::execute(AccessBatch &batch)
 {
     submit(batch).get();
+    return batch.summary_;
+}
+
+const BatchSummary &
+ShardedEngine::executeOnCaller(AccessBatch &batch)
+{
+    // A queued or running sub-plan could be on one of this plan's
+    // shards: running beside it would break the shard's one-thread,
+    // FIFO execution.
+    BUDDY_CHECK(inflight_.load(std::memory_order_acquire) == 0,
+                "executeOnCaller needs every submitted batch completed");
+    const std::shared_ptr<BatchJob> job = split(batch);
+    for (unsigned sub = 0; sub < job->subs.size(); ++sub)
+        runTask(job, sub);
     return batch.summary_;
 }
 
@@ -603,6 +626,7 @@ ShardedEngine::finish(BatchJob &job)
         hub_.emitBatch(merged);
     }
 
+    inflight_.fetch_sub(1, std::memory_order_release);
     job.done.set_value(merged);
 }
 

@@ -289,6 +289,18 @@ ServiceScheduler::runContinuous()
     std::size_t rrCursor = n ? engine::splitmix64(cfg_.seed) % n : 0;
     std::vector<unsigned> inflight(n, 0);
     std::vector<std::unique_ptr<Dispatch>> pending;
+    // Every event below waits for all admitted batches, so one worker
+    // could only overlap a batch with the plan building of the next
+    // few; handing each batch to it costs a wake-up of the worker and
+    // one of this thread, and their cost swings from run to run. With
+    // one worker the batches run here instead: same results, same order.
+    const bool onCaller = engine_.threadCount() == 1;
+    const auto resolve = [](Dispatch &d, const BatchSummary &s) {
+        d.summary = s;
+        d.serviceCycles = std::max<u64>(s.combinedWindowCycles, 1);
+        d.complete = d.admit + d.serviceCycles;
+        d.resolved = true;
+    };
     u64 now = 0;       ///< the simulated service clock
     u64 admitted = 0;  ///< batches admitted over the whole run
     u64 admitSeq = 0;  ///< admission order (completion tie-break)
@@ -336,7 +348,10 @@ ServiceScheduler::runContinuous()
             if (metricsActive_)
                 mDispatched_->add();
 
-            d->fut = engine_.submit(d->plan);
+            if (onCaller)
+                resolve(*d, engine_.executeOnCaller(d->plan));
+            else
+                d->fut = engine_.submit(d->plan);
             d->submitSeq = d->plan.submitSeq();
             pending.push_back(std::move(d));
         }
@@ -365,15 +380,9 @@ ServiceScheduler::runContinuous()
         // the blocking order is irrelevant to both wall time and the
         // (deterministic) results; resolving them all makes every
         // completion time known in simulated cycles.
-        for (auto &d : pending) {
-            if (d->resolved)
-                continue;
-            d->summary = d->fut.get();
-            d->serviceCycles =
-                std::max<u64>(d->summary.combinedWindowCycles, 1);
-            d->complete = d->admit + d->serviceCycles;
-            d->resolved = true;
-        }
+        for (auto &d : pending)
+            if (!d->resolved)
+                resolve(*d, d->fut.get());
 
         // Pop the earliest completion event; ties break on admission
         // order, so the event sequence is a pure function of the seed

@@ -36,6 +36,10 @@
  *                    admission time plus its service latency, and the
  *                    clock advances from completion to completion (or
  *                    jumps to the next arrival when the fleet idles).
+ *                    On an engine with one worker thread each batch
+ *                    runs on run()'s own thread at admission
+ *                    (ShardedEngine::executeOnCaller): the same
+ *                    results, without two thread wake-ups per batch.
  *
  * Sessions generate plans lazily (TenantSession::next) in both modes,
  * so a tenant denied admission is backpressured into its stream rather

@@ -4,7 +4,9 @@
  * disaggregated/far-memory backend whose per-operation counters a
  * timing model charges fabric round trips against. Covered under
  * direct use, behind a single controller's buddy carve-out, and behind
- * a sharded engine where every shard owns its own remote store.
+ * a sharded engine where every shard owns its own remote store. The
+ * range checks of the flat stores are exercised at the top of the
+ * address space, where `addr + len` would wrap.
  */
 
 #include <gtest/gtest.h>
@@ -169,6 +171,29 @@ TEST(RemoteBackingStore, EngineDrivenAccountingAcrossShards)
     EXPECT_GE(bytes_written, vas.size() * 65);
     EXPECT_LE(bytes_written, vas.size() * (kEntryBytes - kSectorBytes));
     EXPECT_GT(shards_touched, 1u) << "hash placed everything on one shard";
+}
+
+TEST(BackingStoreDeathTest, RangeChecksDoNotWrapNearTopOfAddressSpace)
+{
+    // addr + len wraps past 2^64 to a small value; a check written as
+    // `addr + len <= capacity` would pass and memcpy would run wild.
+    for (const auto &kind : api::backingStoreKinds()) {
+        const auto store = makeBackingStore(kind, 4 * KiB);
+        u8 buf[kEntryBytes] = {};
+        const Addr top = ~Addr{0} - 7;
+        EXPECT_DEATH(store->write(top, buf, kEntryBytes), "out of range")
+            << kind;
+        EXPECT_DEATH(store->read(top, buf, kEntryBytes), "out of range")
+            << kind;
+        EXPECT_DEATH(store->fill(top, 0, kEntryBytes), "out of range")
+            << kind;
+        // One byte past the end and an over-long length also die.
+        EXPECT_DEATH(store->read(4 * KiB, buf, 1), "out of range") << kind;
+        EXPECT_DEATH(store->fill(0, 0, 4 * KiB + 1), "out of range")
+            << kind;
+        // The last in-range byte is fine.
+        store->write(4 * KiB - 1, buf, 1);
+    }
 }
 
 } // namespace

@@ -3,12 +3,15 @@
  * Randomized round-trip fuzz over every registered codec: 10k random +
  * patterned entries per codec must encode/decode bit-exactly through
  * the allocation-free path (compressInto/decompressFrom), and the
- * legacy allocating wrappers must agree with it bit for bit.
+ * legacy allocating wrappers must agree with it bit for bit. A golden
+ * digest per built-in codec pins the encodings themselves, so a change
+ * that alters any encoded bit fails here even if it still round-trips.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 
 #include "api/codec_registry.h"
 #include "common/rng.h"
@@ -116,6 +119,58 @@ TEST_P(CodecFuzzTest, ScratchReuseNeedsNoClearing)
         codec->compressInto(zeros, scratch.encode, scratch);
     codec->decompressFrom(scratch.encode, bits, out);
     EXPECT_EQ(std::memcmp(zeros, out, kEntryBytes), 0);
+}
+
+/** FNV-1a (64-bit) accumulator. */
+struct Fnv1a
+{
+    u64 h = 0xcbf29ce484222325ull;
+
+    void
+    bytes(const u8 *p, std::size_t n)
+    {
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= p[i];
+            h *= 0x100000001b3ull;
+        }
+    }
+};
+
+/**
+ * Encoding digests of the fuzz corpus (seed 2026, kFuzzEntries entries)
+ * per built-in codec: FNV-1a over each entry's sizeBits (8 bytes, little
+ * endian) followed by all sizeBytes() payload bytes, padding bits of the
+ * last byte included. Any change to an encoding changes its digest.
+ */
+const std::map<std::string, u64> kGoldenDigests = {
+    {"bpc", 0xc3ea0e75d23b0db5ull},
+    {"bdi", 0x10d3e0b3f2e2f7b5ull},
+    {"fpc", 0x71dea77d897fa481ull},
+    {"zero", 0x8d0163dad6d16185ull},
+};
+
+TEST_P(CodecFuzzTest, EncodingsMatchGoldenDigest)
+{
+    const auto golden = kGoldenDigests.find(GetParam());
+    if (golden == kGoldenDigests.end())
+        GTEST_SKIP() << "no golden digest for externally registered codec";
+    const auto codec = api::CodecRegistry::instance().create(GetParam());
+    Rng rng(2026);
+    u8 buf[kEntryBytes];
+    CompressionScratch scratch;
+    Fnv1a digest;
+
+    for (int i = 0; i < kFuzzEntries; ++i) {
+        fuzzEntry(rng, i, buf);
+        const u64 bits = codec->compressInto(buf, scratch.encode, scratch);
+        u8 le[8];
+        for (unsigned k = 0; k < 8; ++k)
+            le[k] = static_cast<u8>(bits >> (8 * k));
+        digest.bytes(le, sizeof(le));
+        digest.bytes(scratch.encode, (bits + 7) / 8);
+    }
+    EXPECT_EQ(digest.h, golden->second)
+        << GetParam() << " digest 0x" << std::hex << digest.h;
 }
 
 INSTANTIATE_TEST_SUITE_P(

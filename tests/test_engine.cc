@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <chrono>
 #include <future>
+#include <thread>
 #include <utility>
 
 #include "core/controller.h"
@@ -302,6 +304,85 @@ TEST(ShardedEngine, EmptyBatchCompletesImmediately)
     AccessBatch empty;
     EXPECT_EQ(eng.submit(empty).get().operations(), 0u);
     EXPECT_TRUE(empty.results().empty());
+}
+
+// executeOnCaller runs the plan on the calling thread; per-op results,
+// summaries, read-back bytes, stats and per-tenant totals must match
+// the worker pool's.
+TEST(ShardedEngine, ExecuteOnCallerMatchesWorkerExecution)
+{
+    const auto entries = mixedEntries(kN, 9);
+    ShardedEngine pool(engineConfig(4, 2));
+    ShardedEngine here(engineConfig(4, 1));
+    const auto vasP = allocateSet(pool);
+    const auto vasH = allocateSet(here);
+    ASSERT_EQ(vasP, vasH);
+
+    std::vector<u8> outP(kN * kEntryBytes, 0xFF), outH(kN * kEntryBytes);
+    AccessBatch p, h;
+    for (int pass = 0; pass < 2; ++pass) {
+        p.clear();
+        h.clear();
+        for (std::size_t e = 0; e < kN; ++e) {
+            if (pass == 0) {
+                p.write(vasP[e], entries[e].data());
+                h.write(vasH[e], entries[e].data());
+            } else {
+                p.read(vasP[e], outP.data() + e * kEntryBytes);
+                h.read(vasH[e], outH.data() + e * kEntryBytes);
+            }
+        }
+        p.setTenant(3);
+        h.setTenant(3);
+        const BatchSummary sp = pool.execute(p);
+        const BatchSummary sh = here.executeOnCaller(h);
+        EXPECT_TRUE(sameSummary(sp, sh)) << "pass " << pass;
+        ASSERT_EQ(p.results().size(), h.results().size());
+        for (std::size_t i = 0; i < p.results().size(); ++i)
+            ASSERT_TRUE(sameInfo(p.results()[i], h.results()[i]))
+                << "pass " << pass << " op " << i;
+    }
+    EXPECT_EQ(outP, outH);
+    for (std::size_t e = 0; e < kN; ++e)
+        ASSERT_EQ(std::memcmp(outH.data() + e * kEntryBytes,
+                              entries[e].data(), kEntryBytes),
+                  0)
+            << "entry " << e;
+    EXPECT_TRUE(sameStats(pool.stats(), here.stats()));
+    EXPECT_TRUE(sameSummary(pool.tenantTotals().at(3).summary,
+                            here.tenantTotals().at(3).summary));
+
+    AccessBatch empty;
+    EXPECT_EQ(here.executeOnCaller(empty).operations(), 0u);
+}
+
+TEST(ShardedEngineDeath, ExecuteOnCallerRefusesWhileABatchIsInFlight)
+{
+    // A sink that never returns holds the submitted batch in flight.
+    struct Stuck : api::TrafficSink
+    {
+        void
+        onAccess(const AccessEvent &) override
+        {
+            for (;;)
+                std::this_thread::sleep_for(std::chrono::seconds(1));
+        }
+    };
+    EXPECT_DEATH(
+        {
+            ShardedEngine eng(engineConfig(2, 1));
+            const auto vas = allocateSet(eng);
+            const auto entries = mixedEntries(1, 2);
+            Stuck stuck;
+            eng.attachSink(&stuck);
+            AccessBatch a;
+            AccessBatch b;
+            a.write(vas[0], entries[0].data());
+            b.write(vas[1], entries[0].data());
+            auto fut = eng.submit(a);
+            eng.executeOnCaller(b);
+        },
+        "every submitted batch completed");
 }
 
 TEST(ShardedEngine, FreeReleasesCapacityOnOwningShard)

@@ -508,6 +508,51 @@ TEST(Service, ContinuousFixedSeedReproducesBitForBit)
     }
 }
 
+// On a one-worker engine the continuous scheduler runs each batch on
+// its own thread; the run must be the one a four-worker engine gives.
+TEST(Service, ContinuousRunOnCallerMatchesWorkerPool)
+{
+    ServiceConfig scfg;
+    scfg.admission = AdmissionMode::Continuous;
+    scfg.policy = SchedPolicy::WeightedFair;
+    scfg.seed = 0x5151;
+    scfg.maxInflightPerTenant = 2;
+    scfg.maxInflightTotal = 6;
+
+    EngineConfig pooled = engineConfig(4);
+    pooled.threads = 4;
+    EngineConfig single = engineConfig(4);
+    single.threads = 1;
+    ShardedEngine engA(pooled);
+    ShardedEngine engB(single);
+    ASSERT_EQ(engB.threadCount(), 1u);
+    const auto arrivals = poissonArrivals(600);
+    const std::vector<u64> weights = {1, 2, 3, 4, 1, 2, 3};
+    const ServiceReport a =
+        runFleet(engA, 7, scfg, kBatches, weights, arrivals);
+    const ServiceReport b =
+        runFleet(engB, 7, scfg, kBatches, weights, arrivals);
+
+    EXPECT_TRUE(b.allFinished);
+    EXPECT_EQ(a.simCycles, b.simCycles);
+    EXPECT_EQ(a.dispatched, b.dispatched);
+    EXPECT_EQ(a.maxGlobalInflight, b.maxGlobalInflight);
+    ASSERT_EQ(a.tenants.size(), b.tenants.size());
+    for (std::size_t i = 0; i < a.tenants.size(); ++i) {
+        const TenantReport &x = a.tenants[i];
+        const TenantReport &y = b.tenants[i];
+        EXPECT_EQ(x.batches, y.batches);
+        EXPECT_EQ(x.serviceCycles, y.serviceCycles);
+        EXPECT_EQ(x.queueDelayCycles, y.queueDelayCycles);
+        EXPECT_EQ(x.queueDelay.max(), y.queueDelay.max());
+        EXPECT_TRUE(sameSummary(x.totals, y.totals)) << x.name;
+    }
+    EXPECT_TRUE(sameSummary(engA.tenantTotals().at(a.tenants[0].tenant)
+                                .summary,
+                            engB.tenantTotals().at(b.tenants[0].tenant)
+                                .summary));
+}
+
 // The bulk-synchronous scheduler is the config default and reproduces
 // the pre-open-loop behavior: arrival processes are ignored entirely
 // (same rounds, dispatch, queue-wait, and totals as a fleet without
